@@ -27,7 +27,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -112,8 +111,7 @@ int main(int argc, char** argv) {
 
   const bool gate_disabled = GateDisabled();
   json.Add("gate_enforced", !gate_disabled);
-  json.Add("hardware_threads",
-           static_cast<std::size_t>(std::thread::hardware_concurrency()));
+  json.Add("hardware_threads", AvailableCpus());
 
   ThreadPool pool(kWorkers);
   const std::vector<DatasetId> datasets = {DatasetId::kWiki, DatasetId::kP2P,

@@ -37,6 +37,7 @@
 
 #include "bench/bench_common.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "gen/datasets.h"
 #include "net/net_server.h"
@@ -296,8 +297,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t hw = AvailableCpus();
   std::printf("graphs: %zu (~%zu nodes each), %d cached queries/session, "
               "%zu hardware threads\n\n",
               kGraphs, static_cast<std::size_t>(spec.num_nodes * scale),

@@ -29,6 +29,20 @@ const UncertainGraph& BitcoinGraph() {
   return graph;
 }
 
+// P2P and Guarantee sit below the CoinColumns density gate, so their
+// samplers take the direct per-arc coin path instead of the batched kernels.
+const UncertainGraph& P2PGraph() {
+  static const UncertainGraph graph =
+      MakeDataset(DatasetId::kP2P, 1.0, 42).MoveValue();
+  return graph;
+}
+
+const UncertainGraph& GuaranteeGraph() {
+  static const UncertainGraph graph =
+      MakeDataset(DatasetId::kGuarantee, 1.0, 42).MoveValue();
+  return graph;
+}
+
 void BM_ForwardSampleWorld(benchmark::State& state) {
   const UncertainGraph& graph =
       state.range(0) == 0 ? CitationGraph() : BitcoinGraph();
@@ -42,9 +56,19 @@ void BM_ForwardSampleWorld(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardSampleWorld)->Arg(0)->Arg(1);
 
+// Arg: 0 Citation, 1 Bitcoin (column kernels); 2 P2P, 3 Guarantee (direct
+// coins below the density gate).
+const UncertainGraph& ReverseBenchGraph(int64_t arg) {
+  switch (arg) {
+    case 0: return CitationGraph();
+    case 1: return BitcoinGraph();
+    case 2: return P2PGraph();
+    default: return GuaranteeGraph();
+  }
+}
+
 void BM_ReverseSampleWorld(benchmark::State& state) {
-  const UncertainGraph& graph =
-      state.range(0) == 0 ? CitationGraph() : BitcoinGraph();
+  const UncertainGraph& graph = ReverseBenchGraph(state.range(0));
   // Candidates: the top 5% by upper bound, the realistic BSR workload.
   const auto upper = UpperBounds(graph, 2);
   const auto lower = LowerBounds(graph, 2);
@@ -58,7 +82,7 @@ void BM_ReverseSampleWorld(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ReverseSampleWorld)->Arg(0)->Arg(1);
+BENCHMARK(BM_ReverseSampleWorld)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
 void BM_LowerBounds(benchmark::State& state) {
   const UncertainGraph& graph = BitcoinGraph();

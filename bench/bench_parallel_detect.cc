@@ -32,7 +32,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -90,15 +89,15 @@ int main(int argc, char** argv) {
   PrintProfileBanner(profile, "Parallel cold detection (1 vs 4 threads)");
   BenchJson json("parallel_detect", JsonRequested(argc, argv));
 
-  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t hw = AvailableCpus();
   const bool gate_disabled = GateDisabled();
   const bool enforce = hw >= kGateThreads && !gate_disabled;
-  std::printf("hardware threads: %u — %s\n\n", hw,
+  std::printf("hardware threads: %zu — %s\n\n", hw,
               enforce ? "gate ENFORCED"
               : gate_disabled
                   ? "gate reported but NOT enforced (VULNDS_BENCH_GATE=0)"
                   : "gate reported but NOT enforced (< 4 cores)");
-  json.Add("hardware_threads", static_cast<std::size_t>(hw));
+  json.Add("hardware_threads", hw);
   json.Add("gate_enforced", enforce);
 
   // The SIMD gate compares forced kernel tiers on one thread; it only

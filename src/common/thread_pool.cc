@@ -1,13 +1,23 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace vulnds {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+std::size_t AvailableCpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    const int count = CPU_COUNT(&mask);
+    if (count > 0) return static_cast<std::size_t>(count);
   }
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+ThreadPool::ThreadPool(std::size_t num_threads) {
+  if (num_threads == 0) num_threads = AvailableCpus();
   workers_.reserve(num_threads);
   try {
     for (std::size_t i = 0; i < num_threads; ++i) {

@@ -18,10 +18,16 @@
 
 namespace vulnds {
 
+/// CPUs this process may run on: the size of the calling thread's affinity
+/// mask (sched_getaffinity), so `taskset` and cgroup cpusets narrow it;
+/// std::thread::hardware_concurrency() where the mask cannot be read.
+/// Always >= 1.
+std::size_t AvailableCpus();
+
 /// Fixed-size worker pool.
 class ThreadPool {
  public:
-  /// Creates a pool with `num_threads` workers (0 means hardware concurrency).
+  /// Creates a pool with `num_threads` workers (0 means AvailableCpus()).
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 

@@ -27,8 +27,8 @@ uint64_t CoinThreshold(double prob) {
   // UnitOf is non-decreasing, so "walk down while x-1 would not survive,
   // walk up while x would" terminates at the unique T with
   // UnitOf(y) < prob ⟺ y < T. The guess is within a few ulps of T, so the
-  // loops run O(1) steps; this runs once per arc at column-build time, never
-  // per world.
+  // loops run O(1) steps. CoinColumns runs this once per arc at build time;
+  // per-world coins without a column use CoinHitsProb instead.
   const double scaled = prob * 9007199254740992.0;  // 2^53
   uint64_t x = scaled >= 1.0 ? static_cast<uint64_t>(scaled) : 0;
   if (x > kCoinAlways) x = kCoinAlways;

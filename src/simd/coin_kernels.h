@@ -8,9 +8,11 @@
 //     where Hash64(id)  = Mix64(Mix64(id + 0x9E3779B97F4A7C15) ^ seed)
 //           HashUnit(id) = (double(Hash64(id) >> 11) + 0.5) * 2^-53
 //
-// (reverse_sampler.cc's WorldEdgeSurvives / WorldNodeSelfDefaults modulo
-// their 0/1 early-outs). The kernels never evaluate the double comparison:
-// CoinThreshold(prob) precomputes the exact integer T such that
+// with the early-outs `!(prob > 0)` → false and `prob >= 1` → true
+// (CoinHitsProb below is that predicate, inline; reverse_sampler.cc's
+// WorldEdgeSurvives / WorldNodeSelfDefaults and the sparse-graph sampler
+// path call it directly). The batched kernels never evaluate the double
+// comparison: CoinThreshold(prob) precomputes the exact integer T such that
 //
 //   HashUnit < prob  ⟺  (Hash64 >> 11) < T        for every hash value,
 //
@@ -79,6 +81,19 @@ inline uint64_t CoinInnerHash(uint64_t id) {
 /// One precomputed coin, scalar: does the entity survive under `seed`?
 inline bool CoinHits(uint64_t seed, uint64_t inner, uint64_t threshold) {
   return (Mix64(inner ^ seed) >> 11) < threshold;
+}
+
+/// The defining coin predicate, evaluated straight from the probability:
+/// (double(Mix64(inner ^ seed) >> 11) + 0.5) * 2^-53 < prob, with
+/// prob <= 0 / NaN never and prob >= 1 always surviving. Equal to
+/// CoinHits(seed, inner, CoinThreshold(prob)) for every input, without
+/// CoinThreshold's boundary walk — the form for coins whose threshold is not
+/// precomputed (graphs below the CoinColumns density gate).
+inline bool CoinHitsProb(uint64_t seed, uint64_t inner, double prob) {
+  if (!(prob > 0.0)) return false;
+  if (prob >= 1.0) return true;
+  return (static_cast<double>(Mix64(inner ^ seed) >> 11) + 0.5) * 0x1.0p-53 <
+         prob;
 }
 
 /// Evaluates `n` precomputed coins under `seed` and writes the indices of

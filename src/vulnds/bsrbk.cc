@@ -259,6 +259,30 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
   const std::size_t per_sampler = kSamplerBytesPerNode * graph.num_nodes() + 1;
   workers = std::min(
       workers, std::max<std::size_t>(1, kMaxSamplerBytes / per_sampler));
+  // The serial choice (adaptive schedule only): a run projected to stop
+  // before it could fill one full wave never amortizes building `workers`
+  // cold samplers and ramping through probe waves, so it takes the serial
+  // loop instead. At position 0 the projection rests on the candidate lower
+  // bounds alone; they understate every rate, so it overstates the distance
+  // to the stop (and without bounds it is unknown: the run stays parallel).
+  // Results are identical either way; waves_issued == 0 on a pooled run
+  // marks the choice. Measured on a 4-core x86 host, context-warm DetectTopK
+  // on P2P / Guarantee / Wiki (scale 1.0), k 50 and 500, bk 16..512, 1- vs
+  // 4-wide pool (the vulnds.detect_serial_us / detect_pool_us pair):
+  //  * projected 17-46 worlds (bk 16-32): the pool cost 1.4-3.7x the serial
+  //    CPU, and was slower in wall time on P2P and Wiki (3.9 vs 1.1 ms on
+  //    P2P at k 50), at most 1.4x faster on Guarantee;
+  //  * projected 65-116: 1.2-1.7x the CPU, for up to 1.9x less wall time on
+  //    500-candidate runs — the latency this rule trades for CPU;
+  //  * projected >= 129 (pooled): 1.2-2.0x less wall time.
+  // The projection overstated the real stop in every case, by up to 11%.
+  std::vector<double> estimate_scratch;
+  if (workers > 1 && run.wave.mode == WaveMode::kAdaptive &&
+      folder.EstimateRemainingToStop(run.candidate_lower_bounds,
+                                     &estimate_scratch) <
+          workers * kWaveWorldsPerWorker) {
+    workers = 1;
+  }
   if (workers <= 1) {
     // The serial loop stops exactly at the stop position: zero waste, no
     // wave machinery (worlds_wasted == waves_issued == 0 by definition).
@@ -313,7 +337,6 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
   }
   std::vector<std::vector<char>> wave_defaulted(max_slots);
   std::vector<std::size_t> wave_touched(max_slots, 0);
-  std::vector<double> estimate_scratch;
 
   std::size_t wave_begin = 0;
   while (wave_begin < t) {

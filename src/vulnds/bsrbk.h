@@ -37,6 +37,13 @@
 // workers × kWaveWorldsPerWorker once the stop is provably far — and the
 // final wave is clamped to the estimate. Underestimates cost one extra
 // ParallelFor round; they can never change a result.
+//
+// Serial choice. Before any worker sampler is built, an adaptive run asks
+// the same estimator (lower bounds only, at position 0) how far the stop
+// is; when that overestimate is below one full wave (workers ×
+// kWaveWorldsPerWorker worlds) the run takes the serial loop instead, since
+// building cold samplers and ramping probe waves cannot pay for so few
+// worlds. Such a pooled run reports waves_issued == 0.
 
 #ifndef VULNDS_VULNDS_BSRBK_H_
 #define VULNDS_VULNDS_BSRBK_H_
@@ -100,7 +107,8 @@ struct BottomKRunOptions {
   BottomKWavePlan wave;
   /// Optional per-candidate lower bounds on default probability, aligned
   /// with `candidates`. Sharpens the adaptive stop estimate before any
-  /// counts accumulate; ignored by the fixed schedule.
+  /// counts accumulate, and decides the serial choice; ignored by the fixed
+  /// schedule. Without them an adaptive pooled run always runs in waves.
   const std::vector<double>* candidate_lower_bounds = nullptr;
   /// Observability span for the query carrying this run: on completion the
   /// runner publishes its wave-level detail (waves_issued, worlds_wasted,
@@ -134,7 +142,9 @@ struct BottomKRunStats {
   // width, wave plan and simd tier (everything above is bit-identical
   // across them).
   std::size_t worlds_wasted = 0;  ///< materialized but never folded
-  std::size_t waves_issued = 0;   ///< ParallelFor rounds (0 for serial)
+  /// ParallelFor rounds; 0 for a serial run, including a pooled adaptive
+  /// run that took the serial choice.
+  std::size_t waves_issued = 0;
   /// Coin-kernel telemetry over every materialized world (wasted included).
   simd::CoinKernelStats coin_stats;
 };

@@ -30,8 +30,9 @@
 // carry-forward on dynamic graphs) costs more than it saves. Worthwhile()
 // decides from the graph's shape alone — deterministic, so every layer
 // (samplers, byte accounting, commit seeding) agrees — and samplers fall
-// back to the direct per-arc coin evaluation, which is bit-identical by the
-// kernel contract (coin_kernels.h): same inner hash, same exact threshold.
+// back to evaluating each coin's defining double predicate directly off the
+// arcs (simd::CoinHitsProb), which the kernel contract (coin_kernels.h)
+// proves equal to the columns' integer thresholds.
 
 #ifndef VULNDS_VULNDS_COIN_COLUMNS_H_
 #define VULNDS_VULNDS_COIN_COLUMNS_H_

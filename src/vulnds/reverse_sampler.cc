@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/hash.h"
 #include "common/rng.h"
 
 namespace vulnds {
@@ -18,16 +17,17 @@ uint64_t WorldSeed(uint64_t seed, uint64_t sample_index) {
   return Mix64(seed ^ Mix64(sample_index + kWorldSalt));
 }
 
+// UniformHash(world_seed ^ salt).HashUnit(id) < prob, with the 0/1
+// early-outs — spelled through the one inline predicate the sampler's
+// direct path uses, so the spec and the fast path are the same function.
 bool WorldNodeSelfDefaults(uint64_t world_seed, NodeId v, double self_risk) {
-  if (self_risk <= 0.0) return false;
-  if (self_risk >= 1.0) return true;
-  return UniformHash(world_seed ^ kNodeSalt).HashUnit(v) < self_risk;
+  return simd::CoinHitsProb(world_seed ^ kNodeSalt, simd::CoinInnerHash(v),
+                            self_risk);
 }
 
 bool WorldEdgeSurvives(uint64_t world_seed, EdgeId e, double prob) {
-  if (prob <= 0.0) return false;
-  if (prob >= 1.0) return true;
-  return UniformHash(world_seed ^ kEdgeSalt).HashUnit(e) < prob;
+  return simd::CoinHitsProb(world_seed ^ kEdgeSalt, simd::CoinInnerHash(e),
+                            prob);
 }
 
 ReverseSampler::ReverseSampler(const UncertainGraph& graph,
@@ -48,18 +48,20 @@ ReverseSampler::ReverseSampler(const UncertainGraph& graph,
   queue_.reserve(graph.num_nodes());
   explored_.reserve(graph.num_nodes());
   // columns_ may stay null on sparse graphs (below the density gate): the
-  // sampler then evaluates coins directly off the arcs — same inner hash,
-  // same exact threshold, so bit-identical — with no column build at all.
+  // sampler then evaluates each coin's defining double predicate directly
+  // off the arcs (simd::CoinHitsProb) — bit-identical to the column
+  // thresholds by the kernel contract — with no column build at all.
   if (columns_ != nullptr) survivor_scratch_.resize(columns_->max_run);
 }
 
 bool ReverseSampler::NodeSelfDefaults(NodeId v) {
-  // The integer form of WorldNodeSelfDefaults (CoinThreshold folds the
-  // 0/1 early-outs in); bit-identical by the kernel contract.
+  // WorldNodeSelfDefaults itself without columns; with them, its integer
+  // form (CoinThreshold folds the 0/1 early-outs in) — bit-identical by the
+  // kernel contract.
   ++coin_stats_.tail_coins;
   if (columns_ == nullptr) {
-    return simd::CoinHits(node_seed_, simd::CoinInnerHash(v),
-                          simd::CoinThreshold(graph_.self_risk(v)));
+    return simd::CoinHitsProb(node_seed_, simd::CoinInnerHash(v),
+                              graph_.self_risk(v));
   }
   return simd::CoinHits(node_seed_, columns_->node_inner[v],
                         columns_->node_threshold[v]);
@@ -120,8 +122,8 @@ bool ReverseSampler::EvaluateCandidate(NodeId v, std::size_t* touched) {
       // same ascending arc order as the padded kernel's survivor list.
       for (const Arc& arc : graph_.InArcs(u)) {
         ++coin_stats_.tail_coins;
-        if (!simd::CoinHits(edge_seed_, simd::CoinInnerHash(arc.edge),
-                            simd::CoinThreshold(arc.prob))) {
+        if (!simd::CoinHitsProb(edge_seed_, simd::CoinInnerHash(arc.edge),
+                                arc.prob)) {
           continue;
         }
         if (visited_stamp_[arc.neighbor] == visit_stamp_) continue;

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -10,6 +11,32 @@
 
 namespace vulnds {
 namespace {
+
+TEST(AvailableCpusTest, FollowsTheThreadAffinityMask) {
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(AvailableCpus(), static_cast<std::size_t>(CPU_COUNT(&original)));
+
+  // Narrow this thread to its first allowed CPU, as `taskset -c N` would.
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &original)) ++first;
+  ASSERT_LT(first, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t narrowed = AvailableCpus();
+  std::size_t default_width = 0;
+  {
+    ThreadPool pool(0);  // workers inherit the narrowed mask; joined here
+    default_width = pool.num_threads();
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(narrowed, 1u);
+  EXPECT_EQ(default_width, 1u);
+  EXPECT_EQ(AvailableCpus(), static_cast<std::size_t>(CPU_COUNT(&original)));
+}
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
   ThreadPool pool(4);

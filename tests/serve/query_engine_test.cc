@@ -209,7 +209,10 @@ TEST(QueryEngineTest, WaveTelemetryCountsExecutedRunsOnly) {
   DetectorOptions options;
   options.method = Method::kBsrbk;
   options.k = 2;
-  options.threads = 4;  // wave machinery engaged -> waves_issued > 0
+  options.threads = 4;
+  // The fixed schedule always engages the wave machinery (waves_issued > 0);
+  // adaptive would run this short early-stopping run serially.
+  options.wave_mode = WaveMode::kFixed;
   Result<DetectResponse> cold = engine.Detect("g", options);
   ASSERT_TRUE(cold.ok());
   ASSERT_GT(cold->result.samples_processed, 0u)

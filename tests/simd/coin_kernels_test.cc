@@ -106,6 +106,36 @@ TEST(CoinHitsTest, MatchesTheUniformHashDoubleComparison) {
   }
 }
 
+TEST(CoinHitsProbTest, EqualsThresholdFormOnExactHashBoundaries) {
+  // The direct predicate against the integer threshold form and the
+  // UniformHash reference, at the adversarial probabilities and at the
+  // exact HashUnit value of the very coin being flipped (where `<` must stay
+  // strict) and one ulp either side of it.
+  Rng rng(0xB0DEu);
+  const std::vector<double> adversarial = AdversarialProbs();
+  for (int round = 0; round < 200; ++round) {
+    const uint64_t seed = rng.NextU64();
+    const uint64_t id = rng.NextU64();
+    const uint64_t inner = CoinInnerHash(id);
+    const double unit = UniformHash(seed).HashUnit(id);
+    ASSERT_EQ(unit, UnitOf(Mix64(inner ^ seed) >> 11));
+    std::vector<double> probs = {unit, std::nextafter(unit, 0.0),
+                                 std::nextafter(unit, 2.0)};
+    if (round < 10) {
+      probs.insert(probs.end(), adversarial.begin(), adversarial.end());
+    }
+    for (const double prob : probs) {
+      const bool reference = prob >= 1.0 || (prob > 0.0 && unit < prob);
+      EXPECT_EQ(CoinHitsProb(seed, inner, prob), reference)
+          << "seed=" << seed << " id=" << id << " prob=" << prob;
+      EXPECT_EQ(CoinHits(seed, inner, CoinThreshold(prob)), reference)
+          << "seed=" << seed << " id=" << id << " prob=" << prob;
+    }
+    EXPECT_FALSE(CoinHitsProb(seed, inner, unit));
+    EXPECT_TRUE(CoinHitsProb(seed, inner, std::nextafter(unit, 2.0)));
+  }
+}
+
 // Every run length from empty through two full vector blocks plus every
 // possible tail, and a couple of longer ones.
 std::vector<std::size_t> RunLengths() {

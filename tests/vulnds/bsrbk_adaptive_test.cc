@@ -11,6 +11,7 @@
 
 #include "common/thread_pool.h"
 #include "testing/test_graphs.h"
+#include "vulnds/bounds.h"
 #include "vulnds/bsrbk.h"
 
 namespace vulnds {
@@ -218,6 +219,64 @@ TEST(BsrbkAdaptiveTest, AdaptiveWastesLessThanFixedOnShortStop) {
   ExpectBitIdentical(*serial, *fixed_run, "fixed");
   ExpectBitIdentical(*serial, *adaptive_run, "adaptive");
   EXPECT_LT(adaptive_run->worlds_wasted, fixed_run->worlds_wasted);
+}
+
+// The serial choice: with analytic lower bounds, an adaptive pooled run
+// projected to stop inside one full wave (4 workers x 32 worlds) runs the
+// serial loop — waves_issued == 0 — and matches the 1-wide run bit for bit.
+TEST(BsrbkAdaptiveTest, ShortProjectedRunTakesTheSerialLoop) {
+  const UncertainGraph g = RingWithChords(40, 23);
+  const std::vector<NodeId> candidates = AllNodes(g);
+  const Result<std::vector<double>> lower = LowerBounds(g, 2);
+  ASSERT_TRUE(lower.ok());
+  ThreadPool one(1), four(4);
+  const auto narrow = RunBottomKSampling(g, candidates, 2000, 2, 8, 41,
+                                         AdaptiveRun(&one, 0, 0, &*lower));
+  const auto wide = RunBottomKSampling(g, candidates, 2000, 2, 8, 41,
+                                       AdaptiveRun(&four, 0, 0, &*lower));
+  ASSERT_TRUE(narrow.ok());
+  ASSERT_TRUE(wide.ok());
+  ASSERT_TRUE(narrow->early_stopped);
+  ASSERT_LT(narrow->samples_processed, 4u * 32u)
+      << "workload drifted; pick a seed with a short stop";
+  ExpectBitIdentical(*narrow, *wide, "4-wide vs 1-wide");
+  EXPECT_EQ(wide->waves_issued, 0u);
+  EXPECT_EQ(wide->worlds_wasted, 0u);
+
+  // The same run without lower bounds has no projection at position 0 and
+  // keeps the wave machinery, as does the fixed schedule with them.
+  const auto unbounded = RunBottomKSampling(g, candidates, 2000, 2, 8, 41,
+                                            AdaptiveRun(&four, 0, 0));
+  ASSERT_TRUE(unbounded.ok());
+  ExpectBitIdentical(*narrow, *unbounded, "4-wide without lower bounds");
+  EXPECT_GT(unbounded->waves_issued, 0u);
+  BottomKRunOptions fixed = AdaptiveRun(&four, 0, 0, &*lower);
+  fixed.wave.mode = WaveMode::kFixed;
+  const auto fixed_run =
+      RunBottomKSampling(g, candidates, 2000, 2, 8, 41, fixed);
+  ASSERT_TRUE(fixed_run.ok());
+  ExpectBitIdentical(*narrow, *fixed_run, "4-wide fixed schedule");
+  EXPECT_GT(fixed_run->waves_issued, 0u);
+}
+
+TEST(BsrbkAdaptiveTest, LongProjectedRunStillIssuesWaves) {
+  // A high bk pushes the projection past one full wave: the pool is used.
+  const UncertainGraph g = RingWithChords(40, 23);
+  const std::vector<NodeId> candidates = AllNodes(g);
+  const Result<std::vector<double>> lower = LowerBounds(g, 2);
+  ASSERT_TRUE(lower.ok());
+  ThreadPool one(1), four(4);
+  const auto narrow = RunBottomKSampling(g, candidates, 4000, 2, 200, 41,
+                                         AdaptiveRun(&one, 0, 0, &*lower));
+  const auto wide = RunBottomKSampling(g, candidates, 4000, 2, 200, 41,
+                                       AdaptiveRun(&four, 0, 0, &*lower));
+  ASSERT_TRUE(narrow.ok());
+  ASSERT_TRUE(wide.ok());
+  ASSERT_GE(narrow->samples_processed, 4u * 32u)
+      << "workload drifted; the stop must lie past one full wave";
+  ExpectBitIdentical(*narrow, *wide, "4-wide vs 1-wide, bk=200");
+  EXPECT_GT(wide->waves_issued, 0u);
+  EXPECT_EQ(narrow->waves_issued, 0u);
 }
 
 TEST(BsrbkAdaptiveTest, SeedSweepAcrossThreadCountsAndHints) {

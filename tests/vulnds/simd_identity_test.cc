@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -79,6 +84,120 @@ TEST(SimdIdentityTest, DirectPathMatchesColumnKernelsOnSparseGraphs) {
     }
     EXPECT_EQ(kernels.nodes_touched, direct.nodes_touched);
   }
+}
+
+// The HashUnit value a coin switches at: the largest prob for which
+// `survives(prob)` is still false (survival is monotone in prob, and the
+// bit patterns of positive doubles are ordered like their values). A coin
+// with exactly this probability must not survive; one ulp above, it must.
+double SwitchPoint(const std::function<bool(double)>& survives) {
+  uint64_t lo = std::bit_cast<uint64_t>(0.0);  // never survives
+  uint64_t hi = std::bit_cast<uint64_t>(1.0);  // always survives
+  while (hi - lo > 1) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    (survives(std::bit_cast<double>(mid)) ? hi : lo) = mid;
+  }
+  return std::bit_cast<double>(lo);
+}
+
+// A sparse graph (below the density gate) whose coins sit on the edge of
+// the predicate: the special probabilities 0, 1, denorm_min and
+// nextafter(1, 0), and — for every other edge and node — the exact switch
+// point of that coin in one of the first `worlds` worlds, or one ulp
+// below or above it.
+UncertainGraph BoundaryProbabilityGraph(uint64_t seed, std::size_t worlds) {
+  constexpr std::size_t kNodes = 48;
+  const double special[] = {0.0, 1.0, std::numeric_limits<double>::denorm_min(),
+                            std::nextafter(1.0, 0.0)};
+  const auto near_switch = [&](std::size_t i, double at) {
+    switch (i % 3) {
+      case 0: return at;
+      case 1: return std::nextafter(at, 0.0);
+      default: return std::nextafter(at, 2.0);
+    }
+  };
+  UncertainGraphBuilder b(kNodes);
+  for (NodeId v = 0; v < kNodes; ++v) {
+    const uint64_t world = WorldSeed(seed, v % worlds);
+    const double at = SwitchPoint([&](double p) {
+      return WorldNodeSelfDefaults(world, v, p);
+    });
+    // Half the nodes get denorm_min (never defaults, yet not the 0
+    // early-out) so reverse BFS runs reach past their first node; the switch
+    // points themselves are near-uniform in (0, 1).
+    double risk = special[2];
+    if (v % 4 == 0) risk = special[v / 4 % 4];
+    if (v % 4 == 1) risk = near_switch(v / 4, at);
+    testing::CheckOk(b.SetSelfRisk(v, risk));
+  }
+  Rng rng(seed);
+  for (EdgeId e = 0; e < 2 * kNodes; ++e) {
+    const NodeId src = static_cast<NodeId>(rng.NextBounded(kNodes));
+    NodeId dst = static_cast<NodeId>(rng.NextBounded(kNodes));
+    if (dst == src) dst = (dst + 1) % kNodes;
+    const uint64_t world = WorldSeed(seed, e % worlds);
+    const double at = SwitchPoint([&](double p) {
+      return WorldEdgeSurvives(world, e, p);
+    });
+    const double prob = e % 5 == 4 ? special[e / 5 % 4] : near_switch(e, at);
+    testing::CheckOk(b.AddEdge(src, dst, prob));  // edge id == e
+  }
+  return b.Build().MoveValue();
+}
+
+// Algorithm 5's answer for every node, straight from the defining
+// predicates: v defaults iff a self-defaulted node reaches it over
+// surviving edges.
+std::vector<char> ReferenceDefaults(const UncertainGraph& g,
+                                    uint64_t world_seed) {
+  std::vector<char> out(g.num_nodes(), 0);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    std::vector<char> seen(g.num_nodes(), 0);
+    std::vector<NodeId> queue = {v};
+    seen[v] = 1;
+    for (std::size_t head = 0; head < queue.size() && !out[v]; ++head) {
+      const NodeId u = queue[head];
+      if (WorldNodeSelfDefaults(world_seed, u, g.self_risk(u))) out[v] = 1;
+      for (const Arc& arc : g.InArcs(u)) {
+        if (!seen[arc.neighbor] &&
+            WorldEdgeSurvives(world_seed, arc.edge, arc.prob)) {
+          seen[arc.neighbor] = 1;
+          queue.push_back(arc.neighbor);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(SimdIdentityTest, BoundaryProbabilitiesAgreeWorldByWorld) {
+  // Coins exactly on, and one ulp around, their switch points: the direct
+  // sparse path, both forced column tiers and the defining predicates must
+  // agree on every flag and (between samplers) every expansion count.
+  constexpr uint64_t kSeed = 21;
+  constexpr std::size_t kWorlds = 24;
+  const UncertainGraph g = BoundaryProbabilityGraph(kSeed, kWorlds);
+  ASSERT_FALSE(CoinColumns::Worthwhile(g));
+  const CoinColumns cols = CoinColumns::Build(g);
+  const std::vector<NodeId> candidates = AllNodes(g);
+  ReverseSampler direct(g, candidates);  // no columns below the gate
+  ReverseSampler scalar(g, candidates, &cols, simd::SimdTier::kScalar);
+  ReverseSampler best(g, candidates, &cols, simd::BestSupportedTier());
+  std::size_t defaults = 0;
+  for (std::size_t w = 0; w < kWorlds; ++w) {
+    const uint64_t world = WorldSeed(kSeed, w);
+    std::vector<char> d, s, b;
+    const std::size_t touched = direct.SampleWorld(world, &d);
+    EXPECT_EQ(scalar.SampleWorld(world, &s), touched) << "world " << w;
+    EXPECT_EQ(best.SampleWorld(world, &b), touched) << "world " << w;
+    EXPECT_EQ(s, d) << "scalar columns, world " << w;
+    EXPECT_EQ(b, d) << "best-tier columns, world " << w;
+    EXPECT_EQ(ReferenceDefaults(g, world), d) << "world " << w;
+    defaults += static_cast<std::size_t>(std::count(d.begin(), d.end(), 1));
+  }
+  // Neither trivially all-safe nor all-defaulted.
+  EXPECT_GT(defaults, 0u);
+  EXPECT_LT(defaults, kWorlds * g.num_nodes());
 }
 
 TEST(SimdIdentityTest, ReverseSamplingIsIdenticalAcrossTiersAndThreads) {

@@ -12,7 +12,7 @@
 //       Runs top-k detection (method one of N, SN, SR, BSR, BSRBK; default
 //       BSRBK) and prints the ranked nodes with scores. Flags: eps=, delta=,
 //       seed=, samples= (method N budget), order= (bound order z), bk=,
-//       threads= (sampling threads; 0 = one per hardware core), wave=
+//       threads= (sampling threads; 0 = one per available CPU), wave=
 //       (BSRBK wave schedule: adaptive | fixed | fixed:N), simd= (kernel
 //       tier: auto | avx2 | scalar; VULNDS_SIMD sets the process default).
 //       Results are bit-identical for every thread count, wave schedule
@@ -515,7 +515,7 @@ int CmdServe(int argc, char** argv) {
     }
   }
   // Default: the process-wide shared pool; threads=N pins a dedicated pool
-  // (N = 0 means one worker per hardware core).
+  // (N = 0 means one worker per available CPU).
   std::optional<ThreadPool> own_pool;
   if (threads.has_value()) own_pool.emplace(*threads);
   engine_options.pool = own_pool.has_value() ? &*own_pool : &ThreadPool::Global();
