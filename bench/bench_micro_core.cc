@@ -56,14 +56,22 @@ void BM_ForwardSampleWorld(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardSampleWorld)->Arg(0)->Arg(1);
 
-// Arg: 0 Citation, 1 Bitcoin (column kernels); 2 P2P, 3 Guarantee (direct
-// coins below the density gate).
+// Wiki sits above the gate: the analyst mix's column-kernel graph.
+const UncertainGraph& WikiGraph() {
+  static const UncertainGraph graph =
+      MakeDataset(DatasetId::kWiki, 1.0, 42).MoveValue();
+  return graph;
+}
+
+// Arg: 0 Citation, 3 Guarantee, 2 P2P (direct coins below the density
+// gate); 1 Bitcoin, 4 Wiki (column kernels).
 const UncertainGraph& ReverseBenchGraph(int64_t arg) {
   switch (arg) {
     case 0: return CitationGraph();
     case 1: return BitcoinGraph();
     case 2: return P2PGraph();
-    default: return GuaranteeGraph();
+    case 3: return GuaranteeGraph();
+    default: return WikiGraph();
   }
 }
 
@@ -82,7 +90,7 @@ void BM_ReverseSampleWorld(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ReverseSampleWorld)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+BENCHMARK(BM_ReverseSampleWorld)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 
 void BM_LowerBounds(benchmark::State& state) {
   const UncertainGraph& graph = BitcoinGraph();

@@ -31,12 +31,12 @@ constexpr std::size_t kDefaultRamp = 2;
 // Memory guardrails for the parallel path; neither changes results (worker
 // count and wave schedule are execution knobs only — property-tested), they
 // only keep a wide pool on a huge graph from ballooning the process.
-// Each ReverseSampler holds ~25 bytes per graph node (three per-node
-// arrays plus two reserved queues); each wave slot holds one bitmap of
-// |candidates| bytes.
+// Each ReverseSampler holds ~21 bytes per graph node (two stamp arrays, a
+// conclusion byte and one reserved queue); each wave slot holds one bitmap
+// of |candidates| bytes.
 constexpr std::size_t kMaxSamplerBytes = std::size_t{512} << 20;
 constexpr std::size_t kMaxWaveBytes = std::size_t{64} << 20;
-constexpr std::size_t kSamplerBytesPerNode = 25;
+constexpr std::size_t kSamplerBytesPerNode = 21;
 
 // Sentinel for "no candidate trajectory supports a stop estimate yet".
 constexpr std::size_t kUnknownDistance = std::numeric_limits<std::size_t>::max();

@@ -135,7 +135,9 @@ struct BottomKRunStats {
   std::vector<char> reached_bk;
   std::size_t samples_processed = 0;  ///< worlds folded into the counters
   std::size_t total_samples = 0;      ///< the budget t
-  std::size_t nodes_touched = 0;      ///< BFS expansions of folded worlds
+  /// Nodes whose default state a reverse search settled, summed over the
+  /// folded worlds.
+  std::size_t nodes_touched = 0;
   bool early_stopped = false;  ///< true iff `needed` candidates reached bk
 
   // Schedule telemetry — the only fields that legitimately vary with pool

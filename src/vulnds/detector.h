@@ -94,7 +94,10 @@ struct DetectionResult {
   std::size_t samples_processed = 0;  ///< worlds actually materialized
   std::size_t verified_count = 0;     ///< k' (BSR/BSRBK only)
   std::size_t candidate_count = 0;    ///< |B| (SR/BSR/BSRBK only)
-  std::size_t nodes_touched = 0;      ///< total BFS expansions
+  /// Cost telemetry: for SR / BSR / BSRBK, the nodes whose default state a
+  /// reverse search settled (one self-risk coin each), summed over worlds;
+  /// for N / SN, the defaulted nodes the forward BFS reached.
+  std::size_t nodes_touched = 0;
   bool early_stopped = false;         ///< BSRBK stop condition fired
 
   /// Wave-schedule telemetry of the BSRBK sampling stage (0 for the other

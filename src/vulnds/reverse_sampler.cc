@@ -46,7 +46,6 @@ ReverseSampler::ReverseSampler(const UncertainGraph& graph,
     columns_ = owned_columns_.get();
   }
   queue_.reserve(graph.num_nodes());
-  explored_.reserve(graph.num_nodes());
   // columns_ may stay null on sparse graphs (below the density gate): the
   // sampler then evaluates each coin's defining double predicate directly
   // off the arcs (simd::CoinHitsProb) — bit-identical to the column
@@ -77,71 +76,65 @@ void ReverseSampler::SetConclusion(NodeId v, Conclusion c) {
   conclusion_[v] = static_cast<char>(c);
 }
 
-bool ReverseSampler::EvaluateCandidate(NodeId v, std::size_t* touched) {
-  // Algorithm 5 lines 2-20, one candidate.
-  switch (GetConclusion(v)) {
+bool ReverseSampler::Reach(NodeId w, std::size_t* touched) {
+  if (visited_stamp_[w] == visit_stamp_) return false;
+  visited_stamp_[w] = visit_stamp_;
+  // Line 7: reuse a previous conclusion about w in this sample.
+  switch (GetConclusion(w)) {
     case Conclusion::kDefaulted:
       return true;
     case Conclusion::kSafe:
-      return false;
+      return false;  // dead region; do not expand
     case Conclusion::kUnknown:
       break;
   }
+  // Lines 9-13: flip w's self-risk coin (memoized by world purity).
+  ++*touched;
+  if (NodeSelfDefaults(w)) {
+    SetConclusion(w, Conclusion::kDefaulted);
+    return true;
+  }
+  queue_.push_back(w);
+  return false;
+}
+
+bool ReverseSampler::EvaluateCandidate(NodeId v, std::size_t* touched) {
+  // Algorithm 5 lines 2-20, one candidate. Reach settles each node when it
+  // is first reached, so the search stops at the first default it finds
+  // without expanding the nodes queued ahead of it.
   ++visit_stamp_;
   queue_.clear();
-  explored_.clear();
-  queue_.push_back(v);
-  visited_stamp_[v] = visit_stamp_;
-
-  bool found_default = false;
+  bool found_default = Reach(v, touched);
   for (std::size_t head = 0; head < queue_.size() && !found_default; ++head) {
     const NodeId u = queue_[head];
-    ++*touched;
-    // Line 7: reuse a previous conclusion about u in this sample.
-    const Conclusion known = GetConclusion(u);
-    if (known == Conclusion::kDefaulted) {
-      found_default = true;
-      break;
-    }
-    if (known == Conclusion::kSafe) continue;  // dead region; do not expand
-    explored_.push_back(u);
-    // Lines 9-13: flip u's self-risk coin (memoized by world purity).
-    if (NodeSelfDefaults(u)) {
-      SetConclusion(u, Conclusion::kDefaulted);
-      found_default = true;
-      break;
-    }
-    // Lines 14-20: expand along surviving in-edges. The whole adjacency
-    // run's coins are evaluated in one batched-kernel call (worlds are pure,
-    // so testing a coin for an already-visited neighbor changes nothing);
-    // survivors come back in ascending arc order, and the visited check +
-    // push below runs in that order — the queue is byte-identical to the
-    // scalar loop's.
+    // Lines 14-20: expand along surviving in-edges, in ascending arc order
+    // on both paths, so the queue is byte-identical for every tier.
     if (columns_ == nullptr) {
-      // Sparse graph below the density gate: direct per-arc coins, in the
-      // same ascending arc order as the padded kernel's survivor list.
+      // Sparse graph below the density gate: direct per-arc coins.
       for (const Arc& arc : graph_.InArcs(u)) {
         ++coin_stats_.tail_coins;
-        if (!simd::CoinHitsProb(edge_seed_, simd::CoinInnerHash(arc.edge),
-                                arc.prob)) {
-          continue;
+        if (simd::CoinHitsProb(edge_seed_, simd::CoinInnerHash(arc.edge),
+                               arc.prob) &&
+            Reach(arc.neighbor, touched)) {
+          found_default = true;
+          break;
         }
-        if (visited_stamp_[arc.neighbor] == visit_stamp_) continue;
-        visited_stamp_[arc.neighbor] = visit_stamp_;
-        queue_.push_back(arc.neighbor);
       }
     } else {
+      // The whole in-arc run's coins in one batched-kernel call (worlds are
+      // pure, so testing a coin for an already-visited neighbor changes
+      // nothing); survivors come back in ascending arc order.
       const std::size_t run_begin = columns_->pad_offsets[u];
       const std::size_t survivors = simd::CoinSurvivorsPadded(
           tier_, edge_seed_, columns_->edge_inner.data() + run_begin,
           columns_->edge_threshold.data() + run_begin, graph_.InDegree(u),
           survivor_scratch_.data(), &coin_stats_);
       for (std::size_t s = 0; s < survivors; ++s) {
-        const NodeId neighbor =
-            columns_->edge_neighbor[run_begin + survivor_scratch_[s]];
-        if (visited_stamp_[neighbor] == visit_stamp_) continue;
-        visited_stamp_[neighbor] = visit_stamp_;
-        queue_.push_back(neighbor);
+        if (Reach(columns_->edge_neighbor[run_begin + survivor_scratch_[s]],
+                  touched)) {
+          found_default = true;
+          break;
+        }
       }
     }
   }
@@ -150,10 +143,10 @@ bool ReverseSampler::EvaluateCandidate(NodeId v, std::size_t* touched) {
     SetConclusion(v, Conclusion::kDefaulted);
     return true;
   }
-  // Exhausted without a default: the whole explored region is reverse-
-  // unreachable from any defaulted node in this world.
-  for (const NodeId u : explored_) SetConclusion(u, Conclusion::kSafe);
-  SetConclusion(v, Conclusion::kSafe);
+  // Exhausted without a default: the queue holds exactly the explored
+  // region, which is reverse-unreachable from any defaulted node in this
+  // world.
+  for (const NodeId u : queue_) SetConclusion(u, Conclusion::kSafe);
   return false;
 }
 

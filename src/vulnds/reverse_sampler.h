@@ -17,9 +17,15 @@
 //  * a node whose self-risk coin came up "default" is recorded as defaulted
 //    (the paper's line 13);
 //  * when a candidate's BFS exhausts without finding a default, every node
-//    it fully explored is recorded as non-defaulted — any later traversal
-//    entering that region can stop immediately, since reverse-reachability
-//    is transitive. This generalizes the paper's line-7 reuse of h-values.
+//    it reached is recorded as non-defaulted — any later traversal entering
+//    that region can stop immediately, since reverse-reachability is
+//    transitive. This generalizes the paper's line-7 reuse of h-values.
+//
+// Both checks (line 7's conclusion lookup and lines 9-13's self-risk coin)
+// run when the BFS first reaches a node, not when it dequeues it: the search
+// stops at the first defaulted in-neighbor it discovers, without expanding
+// the nodes queued ahead of it. The queue therefore holds exactly the
+// settled, non-defaulted region of the search.
 
 #ifndef VULNDS_VULNDS_REVERSE_SAMPLER_H_
 #define VULNDS_VULNDS_REVERSE_SAMPLER_H_
@@ -68,7 +74,8 @@ class ReverseSampler {
 
   /// Evaluates all candidates in the world identified by `world_seed`.
   /// Writes one flag per candidate into `defaulted` (resized to the
-  /// candidate count) and returns the number of node expansions performed.
+  /// candidate count) and returns the number of nodes whose default state
+  /// a search settled (one self-risk coin each).
   std::size_t SampleWorld(uint64_t world_seed, std::vector<char>* defaulted);
 
   /// Kernel telemetry accumulated across every SampleWorld call so far.
@@ -79,6 +86,10 @@ class ReverseSampler {
 
   // Evaluates one candidate in the current sample; assumes stamps are set.
   bool EvaluateCandidate(NodeId v, std::size_t* touched);
+  // Settles node w when the current search first reaches it: true iff w is
+  // known or found to default in this sample. Queues w for expansion when it
+  // is neither defaulted nor known safe.
+  bool Reach(NodeId w, std::size_t* touched);
 
   bool NodeSelfDefaults(NodeId v);
   Conclusion GetConclusion(NodeId v) const;
@@ -100,7 +111,6 @@ class ReverseSampler {
   std::vector<char> conclusion_;
   std::vector<uint64_t> visited_stamp_;
   std::vector<NodeId> queue_;
-  std::vector<NodeId> explored_;
   std::vector<uint32_t> survivor_scratch_;
   simd::CoinKernelStats coin_stats_;
 };
@@ -109,7 +119,7 @@ class ReverseSampler {
 struct ReverseSampleStats {
   std::vector<double> estimates;  ///< p̂(v) per candidate (candidate order)
   std::size_t samples = 0;
-  std::size_t nodes_touched = 0;
+  std::size_t nodes_touched = 0;  ///< SampleWorld's settled nodes, summed
   /// Kernel telemetry (batched vs tail coin evaluations). Like
   /// nodes_touched it measures cost, not answers: totals vary with the
   /// simd tier, never the estimates.

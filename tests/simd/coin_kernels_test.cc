@@ -84,8 +84,12 @@ TEST(CoinThresholdTest, ExactlyCharacterizesTheDoublePredicate) {
       continue;
     }
     // T is the unique boundary of the down-set {x : UnitOf(x) < prob}.
-    if (t > 0) EXPECT_LT(UnitOf(t - 1), prob) << prob;
-    if (t < kCoinAlways) EXPECT_FALSE(UnitOf(t) < prob) << prob;
+    if (t > 0) {
+      EXPECT_LT(UnitOf(t - 1), prob) << prob;
+    }
+    if (t < kCoinAlways) {
+      EXPECT_FALSE(UnitOf(t) < prob) << prob;
+    }
   }
 }
 

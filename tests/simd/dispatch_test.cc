@@ -59,7 +59,9 @@ TEST(SimdDispatchTest, BestSupportedTierIsConsistentWithAvailability) {
   EXPECT_EQ(BestSupportedTier(),
             Avx2Available() ? SimdTier::kAvx2 : SimdTier::kScalar);
   // The CPU cannot report an instruction set the build never compiled.
-  if (!Avx2KernelsCompiled()) EXPECT_FALSE(Avx2Available());
+  if (!Avx2KernelsCompiled()) {
+    EXPECT_FALSE(Avx2Available());
+  }
 }
 
 }  // namespace

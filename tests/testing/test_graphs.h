@@ -43,20 +43,22 @@ inline UncertainGraph ChainGraph(double ps, double pe) {
 }
 
 /// Random small graph for oracle comparisons: n nodes, each possible edge
-/// picked independently with probability `edge_density`; all probabilities
-/// uniform. Total uncertain entities stay enumerable for n <= 5 or so.
+/// picked independently with probability `edge_density`; self-risks uniform
+/// in [0, max_risk), edge probabilities uniform in [0, max_prob). Total
+/// uncertain entities stay enumerable for n <= 5 or so.
 inline UncertainGraph RandomSmallGraph(std::size_t n, double edge_density,
-                                       uint64_t seed) {
+                                       uint64_t seed, double max_risk = 1.0,
+                                       double max_prob = 1.0) {
   Rng rng(seed);
   UncertainGraphBuilder b(n);
   for (NodeId v = 0; v < n; ++v) {
-    CheckOk(b.SetSelfRisk(v, rng.NextDouble()));
+    CheckOk(b.SetSelfRisk(v, max_risk * rng.NextDouble()));
   }
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = 0; v < n; ++v) {
       if (u == v) continue;
       if (rng.NextDouble() < edge_density) {
-        CheckOk(b.AddEdge(u, v, rng.NextDouble()));
+        CheckOk(b.AddEdge(u, v, max_prob * rng.NextDouble()));
       }
     }
   }

@@ -4,9 +4,13 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <tuple>
 
 #include "exact/possible_world.h"
+#include "simd/dispatch.h"
 #include "testing/test_graphs.h"
+#include "vulnds/coin_columns.h"
 
 namespace vulnds {
 namespace {
@@ -15,6 +19,20 @@ std::vector<NodeId> AllNodes(const UncertainGraph& g) {
   std::vector<NodeId> ids(g.num_nodes());
   std::iota(ids.begin(), ids.end(), 0);
   return ids;
+}
+
+// Forward evaluation (exact::EvaluateWorld) of the world `w` the reverse
+// sampler observes: one flag per node.
+std::vector<char> ForwardDefaults(const UncertainGraph& g, uint64_t w) {
+  std::vector<char> self(g.num_nodes());
+  std::vector<char> edges(g.num_edges());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    self[v] = WorldNodeSelfDefaults(w, v, g.self_risk(v)) ? 1 : 0;
+  }
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    edges[e] = WorldEdgeSurvives(w, e, g.edges()[e].prob) ? 1 : 0;
+  }
+  return EvaluateWorld(g, self, edges);
 }
 
 TEST(WorldPurityTest, CoinsAreDeterministic) {
@@ -58,16 +76,7 @@ TEST_P(ReverseForwardEquivalence, MatchesForwardEvaluationWorldByWorld) {
   std::vector<char> reverse_flags;
   for (uint64_t sample = 0; sample < 200; ++sample) {
     const uint64_t w = WorldSeed(seed ^ 0x5555, sample);
-    // Materialize the same world forward.
-    std::vector<char> self(g.num_nodes());
-    std::vector<char> edges(g.num_edges());
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      self[v] = WorldNodeSelfDefaults(w, v, g.self_risk(v)) ? 1 : 0;
-    }
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      edges[e] = WorldEdgeSurvives(w, e, g.edges()[e].prob) ? 1 : 0;
-    }
-    const std::vector<char> forward = EvaluateWorld(g, self, edges);
+    const std::vector<char> forward = ForwardDefaults(g, w);
     sampler.SampleWorld(w, &reverse_flags);
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       ASSERT_EQ(reverse_flags[v], forward[v])
@@ -78,6 +87,65 @@ TEST_P(ReverseForwardEquivalence, MatchesForwardEvaluationWorldByWorld) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReverseForwardEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// The same oracle above the CoinColumns density gate, where the sampler
+// expands through the padded survivor kernel of the given tier: candidate
+// subsets that share upstream regions and cycles, each sampler reused over
+// many worlds, so a conclusion from world i leaking into world i+1 or into a
+// later candidate's search would show as a wrong flag.
+class ReverseForwardDenseEquivalence
+    : public ::testing::TestWithParam<std::tuple<uint64_t, bool>> {};
+
+TEST_P(ReverseForwardDenseEquivalence, CandidateSubsetsMatchForwardWorldByWorld) {
+  const auto [seed, best_tier] = GetParam();
+  const simd::SimdTier tier =
+      best_tier ? simd::BestSupportedTier() : simd::SimdTier::kScalar;
+  // The second graph's low risks make searches exhaust into safe regions
+  // about as often as they find a default.
+  const std::vector<UncertainGraph> graphs = {
+      testing::RandomSmallGraph(24, 0.3, seed),
+      testing::RandomSmallGraph(24, 0.3, seed, 0.06, 0.3)};
+  // Per candidate and consecutive world pair: safe then defaulted, and
+  // defaulted then safe — both must occur for the leak check to bite.
+  std::size_t safe_to_defaulted = 0;
+  std::size_t defaulted_to_safe = 0;
+  for (const UncertainGraph& g : graphs) {
+    ASSERT_TRUE(CoinColumns::Worthwhile(g));
+    const std::vector<std::vector<NodeId>> subsets = {
+        AllNodes(g), {0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22},
+        {23, 17, 11, 5, 0}, {7}};
+    for (const std::vector<NodeId>& candidates : subsets) {
+      ReverseSampler sampler(g, candidates, nullptr, tier);
+      std::vector<char> flags;
+      std::vector<char> previous;
+      for (uint64_t sample = 0; sample < 120; ++sample) {
+        const uint64_t w = WorldSeed(seed ^ 0xD15E, sample);
+        const std::vector<char> forward = ForwardDefaults(g, w);
+        sampler.SampleWorld(w, &flags);
+        ASSERT_EQ(flags.size(), candidates.size());
+        for (std::size_t c = 0; c < candidates.size(); ++c) {
+          ASSERT_EQ(flags[c], forward[candidates[c]])
+              << "world " << sample << " candidate " << candidates[c]
+              << " seed " << seed << " tier " << simd::SimdTierName(tier);
+          if (!previous.empty() && previous[c] != flags[c]) {
+            ++(flags[c] != 0 ? safe_to_defaulted : defaulted_to_safe);
+          }
+        }
+        previous = flags;
+      }
+    }
+  }
+  EXPECT_GT(safe_to_defaulted, 0u);
+  EXPECT_GT(defaulted_to_safe, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndTiers, ReverseForwardDenseEquivalence,
+    ::testing::Combine(::testing::Values(1, 2, 3), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<uint64_t, bool>>& info) {
+      return "seed" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_best" : "_scalar");
+    });
 
 TEST(ReverseSamplerTest, CandidateSubsetOnly) {
   UncertainGraph g = testing::PaperExampleGraph(0.3);
@@ -155,6 +223,40 @@ TEST(ReverseSamplerTest, SharedWorldAcrossCandidates) {
   for (uint64_t s = 0; s < 50; ++s) {
     sampler.SampleWorld(WorldSeed(3, s), &flags);
     EXPECT_EQ(flags, (std::vector<char>{1, 1, 1}));
+  }
+}
+
+TEST(ReverseSamplerTest, StopsAtTheFirstDefaultedInNeighborItReaches) {
+  // Candidate 0's certain in-arcs, in arc order: hubs 1, 2, 3 (self-risk 0,
+  // each fed by kFeeders certain arcs), then node 4 with self-risk 1. Node
+  // 4's self coin is flipped when expanding 0 reaches it, so the search
+  // stops there: no hub is ever expanded and no feeder arc's coin evaluated.
+  constexpr NodeId kFeeders = 40;
+  UncertainGraphBuilder b(5 + kFeeders);
+  ASSERT_TRUE(b.SetSelfRisk(4, 1.0).ok());
+  for (NodeId hub = 1; hub <= 4; ++hub) ASSERT_TRUE(b.AddEdge(hub, 0, 1.0).ok());
+  for (NodeId hub = 1; hub <= 3; ++hub) {
+    for (NodeId f = 0; f < kFeeders; ++f) {
+      ASSERT_TRUE(b.AddEdge(5 + f, hub, 1.0).ok());
+    }
+  }
+  const UncertainGraph g = b.Build().MoveValue();
+  ASSERT_FALSE(CoinColumns::Worthwhile(g));
+  const CoinColumns cols = CoinColumns::Build(g);
+  ReverseSampler direct(g, {0});  // no columns below the gate
+  ReverseSampler scalar(g, {0}, &cols, simd::SimdTier::kScalar);
+  ReverseSampler best(g, {0}, &cols, simd::BestSupportedTier());
+  constexpr uint64_t kWorlds = 3;
+  for (ReverseSampler* sampler : {&direct, &scalar, &best}) {
+    for (uint64_t w = 0; w < kWorlds; ++w) {
+      std::vector<char> flags;
+      // Settled: the candidate, the three hubs and node 4.
+      EXPECT_EQ(sampler->SampleWorld(WorldSeed(5, w), &flags), 5u);
+      EXPECT_EQ(flags, std::vector<char>{1});
+    }
+    // Per world: five self coins plus candidate 0's four in-arc coins.
+    const simd::CoinKernelStats& coins = sampler->coin_stats();
+    EXPECT_EQ(coins.batched_coins + coins.tail_coins, kWorlds * 9);
   }
 }
 
