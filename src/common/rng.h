@@ -13,12 +13,23 @@
 
 namespace vulnds {
 
+/// One-shot splitmix64 finalizer applied to `x` (stateless mixing): the
+/// output of SplitMix64 from state `x`. Inline because every world coin
+/// costs one or two of these in a dependent chain (simd/coin_kernels.h).
+inline uint64_t Mix64(uint64_t x) {
+  uint64_t z = x + 0x9E3779B97F4A7C15ULL;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 /// splitmix64 step: advances `state` and returns the next 64-bit output.
 /// Used for seeding and for stateless per-index hashing.
-uint64_t SplitMix64(uint64_t* state);
-
-/// One-shot splitmix64 finalizer applied to `x` (stateless mixing).
-uint64_t Mix64(uint64_t x);
+inline uint64_t SplitMix64(uint64_t* state) {
+  const uint64_t x = *state;
+  *state += 0x9E3779B97F4A7C15ULL;
+  return Mix64(x);
+}
 
 /// xoshiro256++ generator with convenience distributions.
 ///

@@ -7,7 +7,7 @@
 // the link never breaks and dispatch.cc reports the tier unavailable.
 //
 // Bit-identity notes (the contract tests in tests/simd/ depend on these):
-//  * Mix64Vec reproduces rng.cc's Mix64 lane-for-lane: the splitmix64
+//  * Mix64Vec reproduces rng.h's Mix64 lane-for-lane: the splitmix64
 //    constant add, two xor-shift-multiply rounds, final xor-shift. AVX2 has
 //    no 64-bit low multiply, so Mul64Lo assembles it from 32×32→64 partial
 //    products — exact mod 2^64, which is all Mix64's wrapping multiply needs.
@@ -46,7 +46,7 @@ inline __m256i XorShiftRight(__m256i z, int shift) {
   return _mm256_xor_si256(z, _mm256_srli_epi64(z, shift));
 }
 
-// Mix64(x) per lane, bit-identical to common/rng.cc.
+// Mix64(x) per lane, bit-identical to common/rng.h.
 inline __m256i Mix64Vec(__m256i x) {
   __m256i z = _mm256_add_epi64(
       x, _mm256_set1_epi64x(static_cast<long long>(0x9E3779B97F4A7C15ULL)));

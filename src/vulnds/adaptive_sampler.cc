@@ -17,8 +17,13 @@ Result<AdaptiveRunStats> RunAdaptiveSampling(const UncertainGraph& graph,
     return Status::InvalidArgument("k must be in [1, |candidates|], got " +
                                    std::to_string(options.k));
   }
-  if (options.eps <= 0.0 || options.delta <= 0.0 || options.delta >= 1.0) {
-    return Status::InvalidArgument("eps must be > 0 and delta in (0, 1)");
+  // Stated in the positive so NaN (false under every comparison) fails it
+  // too: a NaN eps or delta never separates the top-k, so the run would
+  // burn all of max_samples.
+  if (!(options.eps > 0.0 && std::isfinite(options.eps) &&
+        options.delta > 0.0 && options.delta < 1.0)) {
+    return Status::InvalidArgument(
+        "eps must be finite and > 0, and delta in (0, 1)");
   }
   if (options.batch == 0) return Status::InvalidArgument("batch must be > 0");
 

@@ -47,7 +47,8 @@ struct AdaptiveRunStats {
 
 /// Runs reverse sampling over `candidates`, stopping early once the top-k
 /// is separated within eps at confidence 1 - delta. Requires
-/// 1 <= k <= |candidates| and a non-empty candidate set.
+/// 1 <= k <= |candidates|, a non-empty candidate set, a finite eps > 0 and
+/// delta in (0, 1).
 Result<AdaptiveRunStats> RunAdaptiveSampling(const UncertainGraph& graph,
                                              const std::vector<NodeId>& candidates,
                                              const AdaptiveOptions& options);

@@ -9,7 +9,6 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
-#include "vulnds/coin_columns.h"
 #include "vulnds/reverse_sampler.h"
 
 namespace vulnds {
@@ -33,7 +32,9 @@ constexpr std::size_t kDefaultRamp = 2;
 // only keep a wide pool on a huge graph from ballooning the process.
 // Each ReverseSampler holds ~21 bytes per graph node (two stamp arrays, a
 // conclusion byte and one reserved queue); each wave slot holds one bitmap
-// of |candidates| bytes.
+// of |candidates| bytes. The candidate coin table of a sparse graph is not
+// per node and not per sampler: 16 bytes per candidate plus 8 per candidate
+// in-arc, built once per run and shared by every worker.
 constexpr std::size_t kMaxSamplerBytes = std::size_t{512} << 20;
 constexpr std::size_t kMaxWaveBytes = std::size_t{64} << 20;
 constexpr std::size_t kSamplerBytesPerNode = 21;
@@ -245,14 +246,9 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
   const simd::SimdTier tier = run.simd_tier;
   BottomKFolder folder(candidates.size(), needed, bk, hash_of, tier, &stats);
 
-  // The graph's cached columns when the caller has none; every sampler
-  // (serial or worker) reads the same immutable columns.
-  const CoinColumns* columns = run.coin_columns;
-  std::shared_ptr<const CoinColumns> shared_columns;
-  if (columns == nullptr && CoinColumns::Worthwhile(graph)) {
-    shared_columns = CoinColumns::Shared(graph);
-    columns = shared_columns.get();
-  }
+  // Resolved once on this thread; every sampler (serial or worker) reads
+  // the same immutable columns or candidate coin table.
+  const RunCoins coins(graph, candidates, run.coin_columns);
 
   ThreadPool* pool = run.pool;
   std::size_t workers = pool == nullptr ? 1 : std::min(pool->num_threads(), t);
@@ -286,7 +282,8 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
   if (workers <= 1) {
     // The serial loop stops exactly at the stop position: zero waste, no
     // wave machinery (worlds_wasted == waves_issued == 0 by definition).
-    ReverseSampler sampler(graph, candidates, columns, tier);
+    ReverseSampler sampler(graph, candidates, coins.columns(), tier,
+                           coins.candidate_coins());
     std::vector<char> defaulted;
     for (std::size_t pos = 0; pos < t; ++pos) {
       const uint32_t sample_id = order[pos];
@@ -333,7 +330,8 @@ Result<BottomKRunStats> RunBottomKSampling(const UncertainGraph& graph,
   samplers.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     samplers.push_back(
-        std::make_unique<ReverseSampler>(graph, candidates, columns, tier));
+        std::make_unique<ReverseSampler>(graph, candidates, coins.columns(),
+                                         tier, coins.candidate_coins()));
   }
   std::vector<std::vector<char>> wave_defaulted(max_slots);
   std::vector<std::size_t> wave_touched(max_slots, 0);

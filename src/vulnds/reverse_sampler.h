@@ -26,12 +26,22 @@
 // stops at the first defaulted in-neighbor it discovers, without expanding
 // the nodes queued ahead of it. The queue therefore holds exactly the
 // settled, non-defaulted region of the search.
+//
+// Coins past that first default are never paid for. At or above the
+// CoinColumns density gate a node's padded in-arc run is tested in 16-slot
+// blocks (4 × kCoinLanes, one unrolled pass of the AVX2 kernel), and the
+// expansion stops after the block in which a survivor reaches a default.
+// Below the gate coins are evaluated one at a time straight off the arcs;
+// the candidates' own self and in-arc coins read their seed-independent
+// inner hashes from a CandidateCoinTable built once per run, so each costs
+// one Mix64. Survivors are reached in ascending arc order on both paths.
 
 #ifndef VULNDS_VULNDS_REVERSE_SAMPLER_H_
 #define VULNDS_VULNDS_REVERSE_SAMPLER_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -50,24 +60,64 @@ bool WorldNodeSelfDefaults(uint64_t world_seed, NodeId v, double self_risk);
 /// True iff edge e survives in the world (pure in its arguments).
 bool WorldEdgeSurvives(uint64_t world_seed, EdgeId e, double prob);
 
+/// The seed-independent inner hashes (simd::CoinInnerHash) of a run's
+/// candidates, for graphs below the CoinColumns density gate: candidate i's
+/// own id at self_inner[i], and the edge ids of its in-arcs, in InArcs
+/// order, at arc_inner[arc_begin[i] .. arc_begin[i + 1]). Probabilities and
+/// neighbors are still read from the arcs. Immutable once built.
+struct CandidateCoinTable {
+  std::vector<uint64_t> self_inner;
+  std::vector<std::size_t> arc_begin;  ///< size |candidates| + 1
+  std::vector<uint64_t> arc_inner;
+
+  /// O(|candidates| + their in-arcs), exactly sized.
+  static CandidateCoinTable Build(const UncertainGraph& graph,
+                                  const std::vector<NodeId>& candidates);
+};
+
+/// The read-only coin data one sampling run resolves once, on the calling
+/// thread, and shares across all of its samplers: the graph's CoinColumns
+/// at or above the density gate (the caller's when given, else
+/// CoinColumns::Shared), otherwise a CandidateCoinTable of the run's
+/// candidates.
+class RunCoins {
+ public:
+  RunCoins(const UncertainGraph& graph, const std::vector<NodeId>& candidates,
+           const CoinColumns* columns = nullptr);
+
+  const CoinColumns* columns() const { return columns_; }
+  const CandidateCoinTable* candidate_coins() const {
+    return candidate_coins_ ? &*candidate_coins_ : nullptr;
+  }
+
+ private:
+  // Keeps the graph's shared columns alive when none were passed in.
+  std::shared_ptr<const CoinColumns> owned_columns_;
+  const CoinColumns* columns_;
+  std::optional<CandidateCoinTable> candidate_coins_;
+};
+
 /// Evaluates candidate default indicators world-by-world. One instance per
 /// thread; reusable across samples.
 ///
-/// Coins run through the batched kernel layer (simd/coin_kernels.h): the
-/// whole in-arc run of a BFS node is tested per iteration against the
-/// precomputed CoinColumns, survivors pushed in ascending arc order, so the
-/// visitation order — and every result — is bit-identical to the scalar
-/// WorldEdgeSurvives loop for every tier.
+/// With CoinColumns, coins run through the batched kernel layer
+/// (simd/coin_kernels.h): a BFS node's in-arc run is tested a 16-slot block
+/// per call, survivors pushed in ascending arc order, so the visitation
+/// order — and every result — is bit-identical to the scalar
+/// WorldEdgeSurvives loop for every tier. Without them the coins are that
+/// loop's own predicate, evaluated one arc at a time.
 class ReverseSampler {
  public:
   /// Prepares a sampler for the given candidate set (node ids into `graph`).
-  /// `columns` must be the graph's columns when supplied (worker samplers
-  /// share the run's instance); passing nullptr uses the graph's cached
-  /// CoinColumns::Shared. `tier` picks the kernel implementation —
-  /// execution-only, results are identical.
+  /// `columns` and `candidate_coins` are the run's shared coin data
+  /// (RunCoins; worker samplers share one instance): the graph's columns,
+  /// or the table of exactly these candidates. When both are null the
+  /// sampler resolves its own RunCoins. `tier` picks the kernel
+  /// implementation — execution-only, results are identical.
   ReverseSampler(const UncertainGraph& graph, std::vector<NodeId> candidates,
                  const CoinColumns* columns = nullptr,
-                 simd::SimdTier tier = simd::DefaultTier());
+                 simd::SimdTier tier = simd::DefaultTier(),
+                 const CandidateCoinTable* candidate_coins = nullptr);
 
   /// The candidate set, in the order `defaulted` entries are reported.
   const std::vector<NodeId>& candidates() const { return candidates_; }
@@ -84,22 +134,26 @@ class ReverseSampler {
  private:
   enum class Conclusion : char { kUnknown = 0, kDefaulted, kSafe };
 
-  // Evaluates one candidate in the current sample; assumes stamps are set.
-  bool EvaluateCandidate(NodeId v, std::size_t* touched);
+  // Evaluates candidate `index` in the current sample; assumes stamps are
+  // set.
+  bool EvaluateCandidate(std::size_t index, std::size_t* touched);
   // Settles node w when the current search first reaches it: true iff w is
   // known or found to default in this sample. Queues w for expansion when it
-  // is neither defaulted nor known safe.
-  bool Reach(NodeId w, std::size_t* touched);
+  // is neither defaulted nor known safe. `self_inner`, when given, is w's
+  // inner hash from the candidate table.
+  bool Reach(NodeId w, std::size_t* touched,
+             const uint64_t* self_inner = nullptr);
 
-  bool NodeSelfDefaults(NodeId v);
+  bool NodeSelfDefaults(NodeId v, const uint64_t* self_inner);
   Conclusion GetConclusion(NodeId v) const;
   void SetConclusion(NodeId v, Conclusion c);
 
   const UncertainGraph& graph_;
   std::vector<NodeId> candidates_;
-  // Keeps the graph's shared columns alive when none were passed in.
-  std::shared_ptr<const CoinColumns> owned_columns_;
+  // The sampler's own coin data when the caller passed none.
+  std::unique_ptr<const RunCoins> owned_coins_;
   const CoinColumns* columns_;
+  const CandidateCoinTable* candidate_coins_;
   simd::SimdTier tier_;
 
   uint64_t edge_seed_ = 0;     // world_seed_ ^ kEdgeSalt, set per world
@@ -111,7 +165,6 @@ class ReverseSampler {
   std::vector<char> conclusion_;
   std::vector<uint64_t> visited_stamp_;
   std::vector<NodeId> queue_;
-  std::vector<uint32_t> survivor_scratch_;
   simd::CoinKernelStats coin_stats_;
 };
 
@@ -129,7 +182,8 @@ struct ReverseSampleStats {
 /// Runs Algorithm 5 for `t` samples; parallel over samples when `pool` is
 /// provided (deterministic: worlds are indexed, partial counts are reduced
 /// in worker order). `columns` may carry the graph's columns when the caller
-/// already holds them; nullptr uses the graph's cached CoinColumns::Shared.
+/// already holds them; nullptr resolves a RunCoins (the graph's cached
+/// CoinColumns::Shared above the density gate, else a CandidateCoinTable).
 /// `tier` is execution-only: results are bit-identical for every tier.
 ReverseSampleStats RunReverseSampling(const UncertainGraph& graph,
                                       const std::vector<NodeId>& candidates,

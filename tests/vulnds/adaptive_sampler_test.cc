@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
 #include "exact/possible_world.h"
@@ -35,6 +36,25 @@ TEST(AdaptiveTest, Validation) {
   bad = Base(1);
   bad.batch = 0;
   EXPECT_FALSE(RunAdaptiveSampling(g, {0, 1}, bad).ok());
+}
+
+TEST(AdaptiveTest, RejectsNonFiniteEpsAndDelta) {
+  // NaN fails every comparison, so a check written as "reject if eps <= 0"
+  // lets it through; such a run never separates and burns max_samples.
+  UncertainGraph g = testing::ChainGraph(0.5, 0.5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double eps : {nan, inf, -inf}) {
+    AdaptiveOptions bad = Base(1);
+    bad.eps = eps;
+    EXPECT_FALSE(RunAdaptiveSampling(g, {0, 1}, bad).ok()) << "eps " << eps;
+  }
+  for (const double delta : {nan, inf, -inf}) {
+    AdaptiveOptions bad = Base(1);
+    bad.delta = delta;
+    EXPECT_FALSE(RunAdaptiveSampling(g, {0, 1}, bad).ok()) << "delta " << delta;
+  }
+  EXPECT_TRUE(RunAdaptiveSampling(g, {0, 1}, Base(1)).ok());
 }
 
 TEST(AdaptiveTest, WellSeparatedStopsEarly) {

@@ -29,7 +29,6 @@ void ExpectSameColumns(const CoinColumns& a, const CoinColumns& b,
   EXPECT_EQ(a.edge_neighbor, b.edge_neighbor) << what;
   EXPECT_EQ(a.node_inner, b.node_inner) << what;
   EXPECT_EQ(a.node_threshold, b.node_threshold) << what;
-  EXPECT_EQ(a.max_run, b.max_run) << what;
 }
 
 // Rebuilds a commit-shaped new version by hand: live base edges in original

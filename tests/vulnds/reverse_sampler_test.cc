@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <string>
@@ -100,11 +101,20 @@ TEST_P(ReverseForwardDenseEquivalence, CandidateSubsetsMatchForwardWorldByWorld)
   const auto [seed, best_tier] = GetParam();
   const simd::SimdTier tier =
       best_tier ? simd::BestSupportedTier() : simd::SimdTier::kScalar;
-  // The second graph's low risks make searches exhaust into safe regions
-  // about as often as they find a default.
+  // The low-risk graphs' searches exhaust into safe regions about as often
+  // as they find a default. The 64-node graphs' in-degrees (about 32) span
+  // three 16-slot kernel blocks, so a search that runs past its first block
+  // exercises the block offsets.
   const std::vector<UncertainGraph> graphs = {
       testing::RandomSmallGraph(24, 0.3, seed),
-      testing::RandomSmallGraph(24, 0.3, seed, 0.06, 0.3)};
+      testing::RandomSmallGraph(24, 0.3, seed, 0.06, 0.3),
+      testing::RandomSmallGraph(64, 0.5, seed),
+      testing::RandomSmallGraph(64, 0.5, seed, 0.02, 0.08)};
+  std::size_t max_in_degree = 0;
+  for (NodeId v = 0; v < graphs[2].num_nodes(); ++v) {
+    max_in_degree = std::max(max_in_degree, graphs[2].InDegree(v));
+  }
+  ASSERT_GT(max_in_degree, 32u);
   // Per candidate and consecutive world pair: safe then defaulted, and
   // defaulted then safe — both must occur for the leak check to bite.
   std::size_t safe_to_defaulted = 0;
@@ -145,6 +155,57 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::tuple<uint64_t, bool>>& info) {
       return "seed" + std::to_string(std::get<0>(info.param)) +
              (std::get<1>(info.param) ? "_best" : "_scalar");
+    });
+
+// The same oracle below the density gate, where the sampler evaluates
+// coins directly off the arcs and reads each candidate's own coins from the
+// candidate coin table: a single candidate and a reversed order check that
+// the table is indexed by candidate position, not by node id.
+class ReverseForwardSparseEquivalence
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ReverseForwardSparseEquivalence, CandidateSubsetsMatchForwardWorldByWorld) {
+  const uint64_t seed = GetParam();
+  const std::vector<UncertainGraph> graphs = {
+      testing::RandomSmallGraph(40, 0.06, seed),
+      testing::RandomSmallGraph(40, 0.06, seed, 0.1, 0.6)};
+  std::size_t safe_to_defaulted = 0;
+  std::size_t defaulted_to_safe = 0;
+  for (const UncertainGraph& g : graphs) {
+    ASSERT_FALSE(CoinColumns::Worthwhile(g));
+    std::vector<NodeId> reversed = AllNodes(g);
+    std::reverse(reversed.begin(), reversed.end());
+    const std::vector<std::vector<NodeId>> subsets = {
+        AllNodes(g), reversed, {31, 3, 17, 29, 8}, {7}};
+    for (const std::vector<NodeId>& candidates : subsets) {
+      ReverseSampler sampler(g, candidates);
+      std::vector<char> flags;
+      std::vector<char> previous;
+      for (uint64_t sample = 0; sample < 120; ++sample) {
+        const uint64_t w = WorldSeed(seed ^ 0x5A45, sample);
+        const std::vector<char> forward = ForwardDefaults(g, w);
+        sampler.SampleWorld(w, &flags);
+        ASSERT_EQ(flags.size(), candidates.size());
+        for (std::size_t c = 0; c < candidates.size(); ++c) {
+          ASSERT_EQ(flags[c], forward[candidates[c]])
+              << "world " << sample << " candidate " << candidates[c]
+              << " seed " << seed;
+          if (!previous.empty() && previous[c] != flags[c]) {
+            ++(flags[c] != 0 ? safe_to_defaulted : defaulted_to_safe);
+          }
+        }
+        previous = flags;
+      }
+    }
+  }
+  EXPECT_GT(safe_to_defaulted, 0u);
+  EXPECT_GT(defaulted_to_safe, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ReverseForwardSparseEquivalence, ::testing::Values(1, 2, 3),
+    [](const ::testing::TestParamInfo<uint64_t>& info) {
+      return "seed" + std::to_string(info.param);
     });
 
 TEST(ReverseSamplerTest, CandidateSubsetOnly) {
@@ -257,6 +318,37 @@ TEST(ReverseSamplerTest, StopsAtTheFirstDefaultedInNeighborItReaches) {
     // Per world: five self coins plus candidate 0's four in-arc coins.
     const simd::CoinKernelStats& coins = sampler->coin_stats();
     EXPECT_EQ(coins.batched_coins + coins.tail_coins, kWorlds * 9);
+  }
+}
+
+TEST(ReverseSamplerTest, ColumnRunStopsAtTheFirstBlockWithADefault) {
+  // Candidate 0 has 64 certain in-arcs, four 16-slot kernel blocks. Its
+  // first in-neighbor self-defaults surely and the others never, so every
+  // world's search stops in the first block: the run's other 48 coins are
+  // never evaluated, on any tier.
+  constexpr NodeId kInArcs = 64;
+  UncertainGraphBuilder b(kInArcs + 1);
+  ASSERT_TRUE(b.SetSelfRisk(1, 1.0).ok());
+  for (NodeId u = 1; u <= kInArcs; ++u) {
+    ASSERT_TRUE(b.AddEdge(u, 0, 1.0).ok());
+  }
+  const UncertainGraph g = b.Build().MoveValue();
+  ASSERT_EQ(g.InArcs(0).front().neighbor, 1u);
+  const CoinColumns cols = CoinColumns::Build(g);
+  constexpr uint64_t kWorlds = 3;
+  for (const simd::SimdTier tier :
+       {simd::SimdTier::kScalar, simd::BestSupportedTier()}) {
+    ReverseSampler sampler(g, {0}, &cols, tier);
+    for (uint64_t w = 0; w < kWorlds; ++w) {
+      std::vector<char> flags;
+      // Settled: the candidate and its first in-neighbor.
+      EXPECT_EQ(sampler.SampleWorld(WorldSeed(11, w), &flags), 2u);
+      EXPECT_EQ(flags, std::vector<char>{1});
+    }
+    // Per world: one 16-slot block plus the two self coins.
+    const simd::CoinKernelStats& coins = sampler.coin_stats();
+    EXPECT_EQ(coins.batched_coins + coins.tail_coins, kWorlds * (16 + 2))
+        << simd::SimdTierName(tier);
   }
 }
 
